@@ -30,9 +30,9 @@ from .errors import (
     NotUnimodular,
 )
 from .linalg import frobenius_norm, hermitian_eig, is_hermitian, operator_norm
-from .measurement import StateVector
+from .measurement import StateVector, as_state
 from .observables import Observable, scale_phase, spectral_decompose
-from .qubit import PAULI_BASIS, bloch_matrix
+from .qubit import PAULI_BASIS, bloch_matrix, bloch_vector
 from .rng import next_double, next_gaussian_pair, seed_state
 
 TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
@@ -127,10 +127,7 @@ class ChshScenario:
             if obs.dim != 2:
                 raise DimensionMismatch(f"{name} must be 2x2, got {obs.dim}x{obs.dim}")
             _require_unimodular_spectrum(obs, name)
-        if not isinstance(self.psi, StateVector):
-            object.__setattr__(self, "psi", StateVector(self.psi))
-        if self.psi.dim != 4:
-            raise DimensionMismatch(f"joint state must have dimension 4, got {self.psi.dim}")
+        object.__setattr__(self, "psi", as_state(self.psi, 4))
 
     def observables(self) -> dict[str, Observable]:
         return {"A1": self.a1, "A2": self.a2, "B1": self.b1, "B2": self.b2}
@@ -157,11 +154,7 @@ def joint_distribution(a: Observable, b: Observable, psi: StateVector) -> JointD
     """
     if a.dim != 2 or b.dim != 2:
         raise DimensionMismatch("joint distributions are defined for 2x2 observables")
-    if not isinstance(psi, StateVector):
-        psi = StateVector(psi)
-    if psi.dim != 4:
-        raise DimensionMismatch(f"joint state must have dimension 4, got {psi.dim}")
-    amps = psi.amplitudes
+    amps = as_state(psi, 4).amplitudes
     probs: dict[tuple[complex, complex], float] = {}
     values_a = a.eigenspace_values()
     values_b = b.eigenspace_values()
@@ -185,11 +178,7 @@ def quantum_correlation(a: Observable, b: Observable, psi: StateVector) -> compl
     """<psi| A tensor B |psi>."""
     if a.dim != 2 or b.dim != 2:
         raise DimensionMismatch("correlations are defined for 2x2 observables")
-    if not isinstance(psi, StateVector):
-        psi = StateVector(psi)
-    if psi.dim != 4:
-        raise DimensionMismatch(f"joint state must have dimension 4, got {psi.dim}")
-    amps = psi.amplitudes
+    amps = as_state(psi, 4).amplitudes
     return complex(np.vdot(amps, np.kron(a.matrix, b.matrix) @ amps))
 
 
@@ -315,11 +304,7 @@ _MAX_SWEEPS = 200
 
 def correlation_matrix(psi: StateVector) -> np.ndarray:
     """3x3 real matrix T with T[k,l] = <psi| sigma_k tensor sigma_l |psi>."""
-    if not isinstance(psi, StateVector):
-        psi = StateVector(psi)
-    if psi.dim != 4:
-        raise DimensionMismatch(f"joint state must have dimension 4, got {psi.dim}")
-    amps = psi.amplitudes
+    amps = as_state(psi, 4).amplitudes
     t = np.zeros((3, 3))
     for k, sk in enumerate(PAULI_BASIS):
         for l, sl in enumerate(PAULI_BASIS):
@@ -327,17 +312,11 @@ def correlation_matrix(psi: StateVector) -> np.ndarray:
     return t
 
 
-def _bloch(theta: float, phi: float) -> np.ndarray:
-    return np.array(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
-    )
-
-
 def _abs_s(angles: np.ndarray, t: np.ndarray) -> float:
-    va1 = _bloch(angles[0], angles[1])
-    va2 = _bloch(angles[2], angles[3])
-    vb1 = _bloch(angles[4], angles[5])
-    vb2 = _bloch(angles[6], angles[7])
+    va1 = bloch_vector(angles[0], angles[1])
+    va2 = bloch_vector(angles[2], angles[3])
+    vb1 = bloch_vector(angles[4], angles[5])
+    vb2 = bloch_vector(angles[6], angles[7])
     return abs(va1 @ t @ (vb1 + vb2) + va2 @ t @ (vb1 - vb2))
 
 
@@ -367,8 +346,7 @@ def optimize_settings(psi: StateVector, restarts: int = 32, seed: int = 0) -> Ch
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    if not isinstance(psi, StateVector):
-        psi = StateVector(psi)
+    psi = as_state(psi, 4)
     t = correlation_matrix(psi)
     state = seed_state(seed)
     period = 2.0 * np.pi

@@ -45,10 +45,6 @@ def _fmt_complex(z: complex, digits: int = 12) -> str:
     return f"{re_part:.{digits}g}{im_part:+.{digits}g}i"
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def parse_complex_label(text: str) -> complex:
     """Parse labels like '1', '-1', 'i', '-i', '0.5+0.866i'."""
     t = text.strip().replace(" ", "").replace("i", "j")
@@ -128,9 +124,9 @@ def cmd_decompose(args) -> int:
     _emit(
         args,
         {
-            "eigenvalues": [_pair(z) for z in obs.eigenvalues],
+            "eigenvalues": [docs.pair(z) for z in obs.eigenvalues],
             "eigenbasis": [
-                [_pair(obs.eigenbasis[k, j]) for k in range(obs.dim)]
+                [docs.pair(obs.eigenbasis[k, j]) for k in range(obs.dim)]
                 for j in range(obs.dim)
             ],
             "eigenspaces": [list(g) for g in obs.eigenspaces],
@@ -149,7 +145,7 @@ def cmd_measure(args) -> int:
     dist = spectral_distribution(obs, psi)
     payload: dict = {
         "outcomes": [
-            {"eigenvalue": _pair(o.eigenvalue), "probability": o.probability}
+            {"eigenvalue": docs.pair(o.eigenvalue), "probability": o.probability}
             for o in dist.outcomes
         ]
     }
@@ -172,7 +168,7 @@ def cmd_expect(args) -> int:
     obs = spectral_decompose(docs.load_matrix(args.observable))
     psi = docs.load_state(args.state)
     value = expectation(obs, psi)
-    _emit(args, {"expectation": _pair(value)}, [f"expectation: {_fmt_complex(value)}"])
+    _emit(args, {"expectation": docs.pair(value)}, [f"expectation: {_fmt_complex(value)}"])
     return EXIT_OK
 
 
@@ -182,7 +178,7 @@ def cmd_evolve(args) -> int:
     evolved = evolve(psi, ham, args.t)
     payload: dict = {
         "t": args.t,
-        "state": [_pair(z) for z in evolved.amplitudes],
+        "state": [docs.pair(z) for z in evolved.amplitudes],
     }
     human = [f"state at t={args.t:g}:"]
     human += [f"  {_fmt_complex(z)}" for z in evolved.amplitudes]
@@ -191,8 +187,8 @@ def cmd_evolve(args) -> int:
         lhs, rhs = heisenberg_comparison(obs, ham, psi, args.t)
         deviation = abs(lhs - rhs)
         payload["ehrenfest"] = {
-            "derivative": _pair(lhs),
-            "commutator_side": _pair(rhs),
+            "derivative": docs.pair(lhs),
+            "commutator_side": docs.pair(rhs),
             "deviation": deviation,
         }
         human.append(f"d<A>/dt (central difference): {_fmt_complex(lhs)}")
@@ -225,11 +221,11 @@ def cmd_chsh_lhv(args) -> int:
         {
             "strategies": [
                 {
-                    "a1": _pair(s.a1),
-                    "a2": _pair(s.a2),
-                    "b1": _pair(s.b1),
-                    "b2": _pair(s.b2),
-                    "S": _pair(value),
+                    "a1": docs.pair(s.a1),
+                    "a2": docs.pair(s.a2),
+                    "b1": docs.pair(s.b1),
+                    "b2": docs.pair(s.b2),
+                    "S": docs.pair(value),
                     "abs_S": abs(value),
                 }
                 for s, value in rows
@@ -265,8 +261,8 @@ def cmd_chsh_quantum(args) -> int:
     _emit(
         args,
         {
-            "correlations": {k: _pair(v) for k, v in correlations.items()},
-            "chsh_value": _pair(value),
+            "correlations": {k: docs.pair(v) for k, v in correlations.items()},
+            "chsh_value": docs.pair(value),
             "abs_chsh_value": abs(value),
             "z_operator_norm": z_norm,
             "zdagz_expansion_residual": expansion_residual,
@@ -304,7 +300,7 @@ def cmd_chsh_optimize(args) -> int:
         args,
         {
             "settings": settings,
-            "chsh_value": _pair(value),
+            "chsh_value": docs.pair(value),
             "abs_chsh_value": abs(value),
             "restarts": args.restarts,
             "seed": args.seed,

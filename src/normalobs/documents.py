@@ -79,7 +79,8 @@ def to_json(value, indent: int = 0) -> str:
     raise DocumentError(f"cannot serialize value of type {type(value).__name__}")
 
 
-def _pair(z: complex) -> list[float]:
+def pair(z: complex) -> list[float]:
+    """A complex number as its [re, im] document pair."""
     return [float(z.real), float(z.imag)]
 
 
@@ -113,7 +114,7 @@ def matrix_to_doc(matrix) -> dict:
     a = np.asarray(matrix, dtype=complex)
     return {
         "n": int(a.shape[0]),
-        "entries": [_pair(z) for z in a.reshape(-1)],
+        "entries": [pair(z) for z in a.reshape(-1)],
     }
 
 
@@ -146,7 +147,7 @@ def save_matrix(path: str, matrix) -> None:
 def state_to_doc(psi: StateVector) -> dict:
     return {
         "dim": int(psi.dim),
-        "amplitudes": [_pair(z) for z in psi.amplitudes],
+        "amplitudes": [pair(z) for z in psi.amplitudes],
     }
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian
 from .linalg import as_matrix, hermitian_eig, is_hermitian
-from .measurement import StateVector
+from .measurement import StateVector, as_state
 from .observables import Observable, expectation
 
 DEFAULT_DT = 1e-5
@@ -48,12 +48,7 @@ class Hamiltonian:
 
 def evolve(psi: StateVector, h: Hamiltonian, t: float) -> StateVector:
     """exp(-iHt) |psi> via the spectral decomposition of H."""
-    if not isinstance(psi, StateVector):
-        psi = StateVector(psi)
-    if psi.dim != h.dim:
-        raise DimensionMismatch(
-            f"state dimension {psi.dim} does not match Hamiltonian dimension {h.dim}"
-        )
+    psi = as_state(psi, h.dim)
     phases = np.exp(-1j * h.eigenvalues * t)
     amps = h.basis @ (phases * (h.basis.conj().T @ psi.amplitudes))
     return StateVector(amps)
@@ -61,11 +56,9 @@ def evolve(psi: StateVector, h: Hamiltonian, t: float) -> StateVector:
 
 def heisenberg_rhs(a: Observable, h: Hamiltonian, psi: StateVector) -> complex:
     """(1/i) <psi| [A, H] |psi>, the commutator side of the equation of motion."""
-    if not isinstance(psi, StateVector):
-        psi = StateVector(psi)
-    if a.dim != h.dim or psi.dim != h.dim:
-        raise DimensionMismatch("observable, Hamiltonian and state dimensions differ")
-    amps = psi.amplitudes
+    amps = as_state(psi, h.dim).amplitudes
+    if a.dim != h.dim:
+        raise DimensionMismatch(f"observable has dimension {a.dim}, expected {h.dim}")
     comm = a.matrix @ h.matrix - h.matrix @ a.matrix
     return complex(np.vdot(amps, comm @ amps) / 1j)
 

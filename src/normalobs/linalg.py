@@ -30,16 +30,6 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def as_vector(v) -> np.ndarray:
-    """Coerce to a complex vector; reject non-finite input."""
-    a = np.asarray(v, dtype=complex)
-    if a.ndim != 1 or a.shape[0] < 1:
-        raise DimensionMismatch(f"expected a vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("vector contains non-finite entries")
-    return a
-
-
 def adjoint(m) -> np.ndarray:
     """Conjugate transpose."""
     return as_matrix(m).conj().T.copy()

@@ -6,10 +6,10 @@ eigenvalue attached to an eigenspace is a label and never enters the
 probabilities, so relabeling (real or complex) leaves every function in
 this module bit-for-bit unchanged.
 
-Sampling uses the in-repo SplitMix64 generator; outcomes are selected by
-an inverse-CDF walk over eigenspace probabilities in canonical eigenvalue
-order, so identical (seed, shots, observable, state) give identical counts
-on every platform.
+Sampling draws its uniforms from the in-repo SplitMix64 generator, one
+scalar step at a time, and maps them to outcomes in one inverse-CDF pass
+over eigenspace probabilities in canonical eigenvalue order, so identical
+(seed, shots, observable, state) give identical counts on every platform.
 """
 
 from __future__ import annotations
@@ -104,14 +104,13 @@ class MeasurementRecord:
     counts: dict[int, int]
 
 
-def _check_state(a: Observable, psi: StateVector) -> np.ndarray:
+def as_state(psi, dim: int) -> StateVector:
+    """Coerce ``psi`` to a :class:`StateVector` of dimension ``dim``."""
     if not isinstance(psi, StateVector):
         psi = StateVector(psi)
-    if psi.dim != a.dim:
-        raise DimensionMismatch(
-            f"state dimension {psi.dim} does not match observable dimension {a.dim}"
-        )
-    return psi.amplitudes
+    if psi.dim != dim:
+        raise DimensionMismatch(f"state has dimension {psi.dim}, expected {dim}")
+    return psi
 
 
 def spectral_distribution(a: Observable, psi: StateVector) -> SpectralDistribution:
@@ -122,9 +121,9 @@ def spectral_distribution(a: Observable, psi: StateVector) -> SpectralDistributi
     projection ``P psi / ||P psi||`` (undefined for zero-probability
     branches).
     """
-    amps = _check_state(a, psi)
+    amps = as_state(psi, a.dim).amplitudes
     outcomes = []
-    for g, proj in enumerate(a.projectors):
+    for value, proj in zip(a.eigenspace_values(), a.projectors):
         projected = proj @ amps
         norm = float(np.linalg.norm(projected))
         prob = norm * norm
@@ -133,20 +132,24 @@ def spectral_distribution(a: Observable, psi: StateVector) -> SpectralDistributi
         else:
             post = None
         outcomes.append(
-            MeasurementOutcome(
-                eigenvalue=complex(a.eigenvalues[a.eigenspaces[g][0]]),
-                probability=prob,
-                post_state=post,
-            )
+            MeasurementOutcome(eigenvalue=value, probability=prob, post_state=post)
         )
     return SpectralDistribution(outcomes=tuple(outcomes))
 
 
-def _draw_index(cumulative: np.ndarray, fallback: int, u: float) -> int:
-    idx = int(np.searchsorted(cumulative, u, side="right"))
-    if idx >= len(cumulative):
-        return fallback
-    return idx
+def draw_indices(dist: SpectralDistribution, uniforms) -> np.ndarray:
+    """Eigenspace indices drawn by inverse CDF, one per uniform in [0, 1).
+
+    Index ``g`` is the first eigenspace whose cumulative probability
+    exceeds the uniform. A uniform at or beyond the cumulative total,
+    which rounding can leave just below 1, goes to the last eigenspace of
+    positive probability rather than to a trailing zero-probability one.
+    """
+    probs = dist.probabilities
+    indices = np.searchsorted(np.cumsum(probs), uniforms, side="right")
+    # any index below len(probs) already lands on a positive-probability branch
+    last_positive = max(g for g, p in enumerate(probs) if p > 0.0)
+    return np.minimum(indices, last_positive)
 
 
 def sample(a: Observable, psi: StateVector, shots: int, seed: int) -> MeasurementRecord:
@@ -158,21 +161,18 @@ def sample(a: Observable, psi: StateVector, shots: int, seed: int) -> Measuremen
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")
     dist = spectral_distribution(a, psi)
-    probs = dist.probabilities
-    cumulative = np.cumsum(probs)
-    positive = [g for g, p in enumerate(probs) if p > 0.0]
-    fallback = positive[-1]
-    counts = {g: 0 for g in range(len(probs))}
+    uniforms = np.empty(shots)
     state = seed_state(seed)
-    for _ in range(shots):
-        u, state = next_double(state)
-        counts[_draw_index(cumulative, fallback, u)] += 1
+    for k in range(shots):
+        uniforms[k], state = next_double(state)
+    tally = np.bincount(draw_indices(dist, uniforms), minlength=len(dist.outcomes))
+    counts = dict(enumerate(tally.tolist()))
     return MeasurementRecord(seed=seed, shots=shots, counts=counts)
 
 
 def collapse(a: Observable, psi: StateVector, eigenspace_index: int) -> StateVector:
     """Project onto one eigenspace and renormalize (Lueders rule)."""
-    amps = _check_state(a, psi)
+    amps = as_state(psi, a.dim).amplitudes
     if not 0 <= eigenspace_index < len(a.projectors):
         raise ValueError(f"no eigenspace with index {eigenspace_index}")
     projected = a.projectors[eigenspace_index] @ amps
@@ -194,18 +194,12 @@ def stationarity_check(
     """
     if rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds}")
-    if not isinstance(psi, StateVector):
-        psi = StateVector(psi)
+    current = as_state(psi, a.dim)
     state = seed_state(seed)
     first: int | None = None
-    current = psi
     for _ in range(rounds):
-        dist = spectral_distribution(a, current)
-        probs = dist.probabilities
-        cumulative = np.cumsum(probs)
-        positive = [g for g, p in enumerate(probs) if p > 0.0]
         u, state = next_double(state)
-        idx = _draw_index(cumulative, positive[-1], u)
+        idx = int(draw_indices(spectral_distribution(a, current), [u])[0])
         if first is None:
             first = idx
         elif idx != first:

@@ -146,6 +146,24 @@ def _cluster_tolerance(values: np.ndarray) -> float:
     return _CLUSTER_SCALE * (spread + 1.0)
 
 
+def _single_linkage(values: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]:
+    """Index groups joined by chains of values at most ``tol`` apart.
+
+    These are the connected components of the graph linking every pair of
+    values within ``tol``; they are ordered by their smallest index.
+    """
+    groups = []
+    rest = list(range(len(values)))
+    while rest:
+        component = [rest.pop(0)]
+        for k in component:  # the component grows while it is walked
+            near = [j for j in rest if abs(values[j] - values[k]) <= tol]
+            rest = [j for j in rest if j not in near]
+            component += near
+        groups.append(tuple(sorted(component)))
+    return tuple(groups)
+
+
 def spectral_decompose(m, tol: float = _NORMALITY_TOL) -> Observable:
     """Decompose a normal matrix into an :class:`Observable`.
 
@@ -153,8 +171,10 @@ def spectral_decompose(m, tol: float = _NORMALITY_TOL) -> Observable:
     diagonalized first, then D is diagonalized inside each (near-)
     degenerate eigenspace of C, which is exactly where C alone leaves the
     basis undetermined. Eigenvalues are the per-column Rayleigh quotients
-    c + id, sorted ascending by (real, imaginary); columns sharing an
-    eigenvalue within the clustering tolerance form one eigenspace.
+    c + id, sorted ascending by (real, imaginary). Columns form one
+    eigenspace when a chain of eigenvalues, each within the clustering
+    tolerance of the next, joins them (single linkage); eigenspaces are
+    ordered by their first column.
 
     Raises NotNormal (reporting the commutation residual) when the input
     fails :func:`check_normal` at ``tol``.
@@ -192,16 +212,8 @@ def spectral_decompose(m, tol: float = _NORMALITY_TOL) -> Observable:
     evals = evals[order]
     u = fix_column_phases(u[:, order])
 
-    cluster_tol = _cluster_tolerance(evals)
-    groups: list[tuple[int, ...]] = []
-    start = 0
-    for k in range(1, n + 1):
-        if k == n or abs(evals[k] - evals[k - 1]) > cluster_tol:
-            groups.append(tuple(range(start, k)))
-            start = k
-    return Observable(
-        matrix=a, eigenvalues=evals, eigenbasis=u, eigenspaces=tuple(groups)
-    )
+    groups = _single_linkage(evals, _cluster_tolerance(evals))
+    return Observable(matrix=a, eigenvalues=evals, eigenbasis=u, eigenspaces=groups)
 
 
 def from_commuting_pair(c, d, tol: float = DEFAULT_TOL) -> Observable:
@@ -277,8 +289,4 @@ def relabel(a: Observable, labels: Mapping[int, complex]) -> Observable:
 def scale_phase(a: Observable, phi: float) -> Observable:
     """Multiply the observable by e^{i phi}: a pure relabeling of outcomes."""
     factor = complex(np.exp(1j * phi))
-    mapping = {
-        g: factor * complex(a.eigenvalues[group[0]])
-        for g, group in enumerate(a.eigenspaces)
-    }
-    return relabel(a, mapping)
+    return relabel(a, {g: factor * v for g, v in enumerate(a.eigenspace_values())})

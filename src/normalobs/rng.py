@@ -10,7 +10,6 @@ platform. State is passed in and returned explicitly; nothing is mutated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 MASK64 = (1 << 64) - 1
 
@@ -57,21 +56,3 @@ def seed_state(seed: int) -> int:
     """Reduce an arbitrary Python integer seed to a 64-bit state word."""
     return seed & MASK64
 
-
-@dataclass(frozen=True)
-class SplitMix64:
-    """Value-semantics wrapper around the raw state word."""
-
-    state: int
-
-    @classmethod
-    def from_seed(cls, seed: int) -> "SplitMix64":
-        return cls(seed_state(seed))
-
-    def next_u64(self) -> tuple[int, "SplitMix64"]:
-        word, state = splitmix64_next(self.state)
-        return word, SplitMix64(state)
-
-    def next_double(self) -> tuple[float, "SplitMix64"]:
-        value, state = next_double(self.state)
-        return value, SplitMix64(state)

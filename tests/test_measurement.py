@@ -3,17 +3,32 @@ import pytest
 from conftest import planted_normal, random_state
 
 from normalobs import (
+    ChshScenario,
+    DimensionMismatch,
+    Hamiltonian,
     NotNormalized,
     ZeroProbabilityBranch,
     collapse,
+    correlation_matrix,
+    evolve,
+    heisenberg_rhs,
+    joint_distribution,
+    optimize_settings,
+    quantum_correlation,
     relabel,
     sample,
     spectral_decompose,
     spectral_distribution,
     stationarity_check,
 )
-from normalobs.measurement import StateVector
-from normalobs.qubit import KET_DOWN, KET_UP, SIGMA_Z
+from normalobs.measurement import (
+    MeasurementOutcome,
+    SpectralDistribution,
+    StateVector,
+    draw_indices,
+)
+from normalobs.qubit import KET_DOWN, KET_UP, SIGMA_X, SIGMA_Z
+from normalobs.rng import next_double, seed_state
 
 SZ = spectral_decompose(SIGMA_Z)
 
@@ -123,6 +138,32 @@ def test_sample_identical_seeds_identical_counts():
     assert c.counts != a.counts
 
 
+def walk_counts(probabilities, shots: int, seed: int) -> dict[int, int]:
+    """Reference: one uniform per shot, linear scan for the first cumulative above it."""
+    cumulative = np.cumsum(probabilities)
+    last_positive = max(g for g, p in enumerate(probabilities) if p > 0.0)
+    counts = dict.fromkeys(range(len(probabilities)), 0)
+    state = seed_state(seed)
+    for _ in range(shots):
+        u, state = next_double(state)
+        counts[next((g for g, c in enumerate(cumulative) if u < c), last_positive)] += 1
+    return counts
+
+
+def test_sample_counts_match_scalar_inverse_cdf_walk():
+    rng = np.random.default_rng(54)
+    for trial in range(40):
+        n = int(rng.integers(1, 6))
+        m, _ = planted_normal(rng, n, degenerate=bool(rng.integers(2)))
+        obs = spectral_decompose(m)
+        # every fourth state is an eigenvector, so some branches have probability 0
+        amps = obs.eigenbasis[:, n - 1] if trial % 4 == 0 else random_state(rng, n)
+        psi = StateVector.normalized(amps)
+        probabilities = spectral_distribution(obs, psi).probabilities
+        shots = int(rng.integers(1, 2000))
+        assert sample(obs, psi, shots, trial).counts == walk_counts(probabilities, shots, trial)
+
+
 def test_sample_rejects_zero_shots():
     with pytest.raises(ValueError):
         sample(SZ, StateVector(KET_UP), 0, 1)
@@ -165,3 +206,59 @@ def test_stationarity_check_random_observables():
         obs = spectral_decompose(m)
         psi = StateVector(random_state(rng, n))
         assert stationarity_check(obs, psi, 100, seed=trial)
+
+
+SX = spectral_decompose(SIGMA_X)
+H_Z = Hamiltonian(SIGMA_Z)
+
+# every public entry point that takes a state, with the dimension it expects
+STATE_ENTRY_POINTS = {
+    "spectral_distribution": (2, lambda psi: spectral_distribution(SZ, psi)),
+    "sample": (2, lambda psi: sample(SZ, psi, 10, 0)),
+    "collapse": (2, lambda psi: collapse(SZ, psi, 0)),
+    "stationarity_check": (2, lambda psi: stationarity_check(SZ, psi, 3, 0)),
+    "evolve": (2, lambda psi: evolve(psi, H_Z, 0.5)),
+    "heisenberg_rhs": (2, lambda psi: heisenberg_rhs(SX, H_Z, psi)),
+    "joint_distribution": (4, lambda psi: joint_distribution(SZ, SX, psi)),
+    "quantum_correlation": (4, lambda psi: quantum_correlation(SZ, SX, psi)),
+    "correlation_matrix": (4, lambda psi: correlation_matrix(psi)),
+    "optimize_settings": (4, lambda psi: optimize_settings(psi, restarts=1)),
+    "ChshScenario": (4, lambda psi: ChshScenario(a1=SZ, a2=SX, b1=SZ, b2=SX, psi=psi)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_ENTRY_POINTS))
+def test_state_guard_on_every_entry_point(name):
+    dim, call = STATE_ENTRY_POINTS[name]
+    wrong = np.zeros(dim + 1, dtype=complex)
+    wrong[0] = 1.0
+    with pytest.raises(DimensionMismatch, match=f"state has dimension {dim + 1}, expected {dim}"):
+        call(StateVector(wrong))
+    with pytest.raises(DimensionMismatch):
+        call(wrong)
+    with pytest.raises(NotNormalized):
+        call(np.ones(dim))
+    # a correct raw array is accepted
+    right = np.zeros(dim, dtype=complex)
+    right[-1] = 1.0
+    call(right)
+
+
+def distribution(*probabilities: float) -> SpectralDistribution:
+    return SpectralDistribution(
+        outcomes=tuple(MeasurementOutcome(complex(g), p, None) for g, p in enumerate(probabilities))
+    )
+
+
+def test_draw_boundary_uniform_goes_right():
+    dist = distribution(0.25, 0.5, 0.25)
+    assert draw_indices(dist, [0.0, 0.25, 0.5, 0.75, 0.9]).tolist() == [0, 1, 1, 2, 2]
+    # a leading zero-probability branch is never drawn, even at u = 0
+    assert draw_indices(distribution(0.0, 1.0), [0.0]).tolist() == [1]
+
+
+def test_draw_past_total_falls_back_to_last_positive_branch():
+    # rounding leaves the total 1e-12 short of 1; trailing branches have zero probability
+    dist = distribution(0.3, 0.7 - 1e-12, 0.0, 0.0)
+    uniforms = [0.29, 0.5, 1.0 - 1e-13, 1.0]
+    assert draw_indices(dist, uniforms).tolist() == [0, 1, 1, 1]

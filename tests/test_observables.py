@@ -121,6 +121,20 @@ def test_spectral_decompose_degenerate_spectrum():
     assert frobenius_norm(rec - m) <= 1e-9 * max(1.0, frobenius_norm(m))
 
 
+def test_spectral_decompose_clusters_by_single_linkage():
+    # 1+5i and its near copy sort apart, with 1 between them; they still share
+    # one eigenspace, numbered by its first column
+    obs = spectral_decompose(np.diag([1 + 5j, 1 + 1e-12, 1 + 2e-12 + (5 + 1e-12) * 1j]))
+    assert obs.eigenspaces == ((0, 2), (1,))
+    assert obs.eigenspace_values()[0] == pytest.approx(1 + 5j, abs=1e-11)
+    assert obs.eigenspace_values()[1] == pytest.approx(1, abs=1e-11)
+    assert np.allclose(obs.projectors[0], np.diag([1, 0, 1]), atol=1e-15)
+    # the tolerance here is 1e-8 * (3 + 1); neighbours are within it, the ends are not
+    step = 3e-8
+    chain = spectral_decompose(np.diag([0.0, step, 2 * step, 3.0]))
+    assert chain.eigenspaces == ((0, 1, 2), (3,))
+
+
 def test_spectral_decompose_rejects_non_normal():
     with pytest.raises(NotNormal) as err:
         spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
