@@ -6,10 +6,11 @@ eigenvalue attached to an eigenspace is a label and never enters the
 probabilities, so relabeling (real or complex) leaves every function in
 this module bit-for-bit unchanged.
 
-Sampling draws its uniforms from the in-repo SplitMix64 generator, one
-scalar step at a time, and maps them to outcomes in one inverse-CDF pass
-over eigenspace probabilities in canonical eigenvalue order, so identical
-(seed, shots, observable, state) give identical counts on every platform.
+Sampling draws its uniforms from the in-repo SplitMix64 generator in
+fixed blocks that are bit-identical to its scalar stream, and maps each
+block to outcomes in one inverse-CDF pass over eigenspace probabilities
+in canonical eigenvalue order, so identical (seed, shots, observable,
+state) give identical counts on every platform.
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotNormalized, ZeroProbabilityBranch
 from .observables import Observable
-from .rng import next_double, seed_state
+from .rng import next_double, next_doubles, seed_state
 
 _NORM_TOL = 1e-10
 _ZERO_PROB = 1e-12
+# shots drawn and tallied per block; bounds sample's memory, not its counts
+_SAMPLE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -156,16 +159,18 @@ def sample(a: Observable, psi: StateVector, shots: int, seed: int) -> Measuremen
     """Draw ``shots`` independent outcomes; deterministic in the seed.
 
     Returns a record whose counts map eigenspace index to frequency and
-    always sum to ``shots``.
+    always sum to ``shots``. Uniforms are drawn and tallied in blocks
+    whose generator state carries over, so the counts are those of one
+    scalar SplitMix64 stream and memory does not grow with ``shots``.
     """
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")
     dist = spectral_distribution(a, psi)
-    uniforms = np.empty(shots)
+    tally = np.zeros(len(dist.outcomes), dtype=np.int64)
     state = seed_state(seed)
-    for k in range(shots):
-        uniforms[k], state = next_double(state)
-    tally = np.bincount(draw_indices(dist, uniforms), minlength=len(dist.outcomes))
+    for start in range(0, shots, _SAMPLE_BLOCK):
+        uniforms, state = next_doubles(state, min(_SAMPLE_BLOCK, shots - start))
+        tally += np.bincount(draw_indices(dist, uniforms), minlength=len(tally))
     counts = dict(enumerate(tally.tolist()))
     return MeasurementRecord(seed=seed, shots=shots, counts=counts)
 

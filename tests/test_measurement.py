@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import planted_normal, random_state
@@ -162,6 +164,30 @@ def test_sample_counts_match_scalar_inverse_cdf_walk():
         probabilities = spectral_distribution(obs, psi).probabilities
         shots = int(rng.integers(1, 2000))
         assert sample(obs, psi, shots, trial).counts == walk_counts(probabilities, shots, trial)
+
+
+# the block size is 2**16 shots: one short of, at and just past one block, and past two
+@pytest.mark.parametrize("shots", [(1 << 16) - 1, 1 << 16, (1 << 16) + 1, 2 * (1 << 16) + 3])
+def test_sample_counts_match_scalar_walk_across_blocks(shots):
+    rng = np.random.default_rng(shots)
+    obs = spectral_decompose(planted_normal(rng, 3)[0])
+    psi = StateVector.normalized(random_state(rng, 3))
+    probabilities = spectral_distribution(obs, psi).probabilities
+    assert sample(obs, psi, shots, shots).counts == walk_counts(probabilities, shots, shots)
+
+
+def test_sample_memory_does_not_grow_with_shots():
+    psi = superposition(0.6, 0.8)
+    sample(SZ, psi, 10, 1)
+    tracemalloc.start()
+    try:
+        record = sample(SZ, psi, 10**6, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(record.counts.values()) == 10**6
+    # one 10**6-shot buffer of float64 alone would take 8 MB
+    assert peak < 4_000_000
 
 
 def test_sample_rejects_zero_shots():
